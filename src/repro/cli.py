@@ -250,31 +250,16 @@ def _cmd_campaign(args) -> int:
         litmus_suite,
         run_campaign,
     )
+    from .litmus.parse import ParseError
     from .obs import manifest as obs_manifest
     from .obs import telemetry as obs_telemetry
-
-    if args.files:
-        from .litmus.parse import ParseError
-
-        try:
-            items = litmus_suite(args.files)
-        except (OSError, ParseError) as exc:
-            # Frontend errors already carry "file:line: message".
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.suite == "catalog":
-        items = catalog_suite()
-    else:
-        vocab = args.vocab.split(",") if args.vocab else None
-        items = diy_suite(args.arch, vocab, args.length)
-    if not items:
-        print("empty suite")
-        return 1
+    from .obs import trace as obs_trace
 
     models = (args.models or args.arch).split(",")
-    batch = _configure_batch(args)
     # Telemetry no longer forces --jobs 1: pool workers collect their own
     # snapshots and the parent merges them (see repro.obs.telemetry).
+    # It starts before the suite is built so suite generation shows up
+    # as its own ``suite`` stage.
     bundle = (
         obs_telemetry.enable(sink=args.trace)
         if _telemetry_requested(args)
@@ -282,6 +267,23 @@ def _cmd_campaign(args) -> int:
     )
     report = manifest = None
     try:
+        with obs_trace.stage("suite"):
+            if args.files:
+                try:
+                    items = litmus_suite(args.files)
+                except (OSError, ParseError) as exc:
+                    # Frontend errors already carry "file:line: message".
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
+            elif args.suite == "catalog":
+                items = catalog_suite()
+            else:
+                vocab = args.vocab.split(",") if args.vocab else None
+                items = diy_suite(args.arch, vocab, args.length)
+        if not items:
+            print("empty suite")
+            return 1
+        batch = _configure_batch(args)
         with _make_cache(args) as cache:
             try:
                 result = run_campaign(

@@ -28,27 +28,35 @@ Over HTTP: ``repro serve`` on the server side, ``repro submit`` /
 ``src/repro/serve/README.md`` for the protocol reference.
 """
 
-from .client import ServiceClient, ServiceError
-from .protocol import (
-    DEFAULT_PORT,
-    JOB_STATES,
-    PROTOCOL_VERSION,
-    JobSpec,
-    SpecError,
-)
-from .server import ServiceServer, serve_forever
-from .service import CampaignService, Job
+from __future__ import annotations
 
-__all__ = [
-    "CampaignService",
-    "DEFAULT_PORT",
-    "JOB_STATES",
-    "Job",
-    "JobSpec",
-    "PROTOCOL_VERSION",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "SpecError",
-    "serve_forever",
-]
+import importlib
+
+#: Public name -> submodule defining it.  Submodules load on first
+#: access, so ``repro.serve.protocol`` (the CLI parser reads its
+#: ``DEFAULT_PORT``) does not pull in the server, service and engine.
+_EXPORTS = {
+    "CampaignService": "service",
+    "DEFAULT_PORT": "protocol",
+    "JOB_STATES": "protocol",
+    "Job": "service",
+    "JobSpec": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ServiceServer": "server",
+    "SpecError": "protocol",
+    "serve_forever": "server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)

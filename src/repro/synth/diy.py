@@ -436,19 +436,68 @@ def enumerate_cycles(
 
     Cycles are deduplicated up to rotation; reflections are kept (they
     correspond to genuinely different tests for non-symmetric models).
+
+    Order contract: cycles come by length, and within one length in the
+    order ``itertools.product(vocabulary, repeat=length)`` first reaches
+    any rotation of them; each is yielded in its name-canonical form
+    (:meth:`Cycle.canonical`).  The search never builds that product: it
+    is a depth-first necklace search over vocabulary indices that only
+    extends a chain by an edge whose source kind is the previous edge's
+    target kind, and only down the least rotation of each cycle, so its
+    cost scales with the adjacency-valid chains, not ``|vocabulary|**L``.
     """
-    vocab = [e if isinstance(e, Edge) else edge(e) for e in vocabulary]
-    seen: set[tuple[str, ...]] = set()
+    # Equal edges are one entry: the product reaches every cycle first
+    # through the earliest copy of each edge.
+    vocab = list(dict.fromkeys(
+        e if isinstance(e, Edge) else edge(e) for e in vocabulary
+    ))
     for length in range(min_length, max_length + 1):
-        for combo in itertools.product(vocab, repeat=length):
-            cycle = Cycle(tuple(combo))
-            if not cycle.is_valid():
-                continue
-            key = tuple(e.name for e in cycle.canonical().edges)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield cycle.canonical()
+        if length < 1:
+            raise ValueError("a cycle needs at least one edge")
+        for indices in _necklaces(vocab, length):
+            yield Cycle(tuple(vocab[i] for i in indices)).canonical()
+
+
+def _necklaces(
+    vocab: Sequence[Edge], length: int
+) -> Iterator[tuple[int, ...]]:
+    """Index sequences of the valid ``length``-edge cycles over ``vocab``
+    that are the least of their rotations, in lexicographic order.
+
+    This is the Fredricksen–Kessler–Maiorana necklace recursion with the
+    alphabet at each position cut down to the successors of the previous
+    edge: position ``t`` of a prefix with period ``p`` takes indices
+    ``>= a[t - p]``, keeping period ``p`` on equality and taking period
+    ``t + 1`` otherwise; a full prefix is a necklace iff ``p`` divides
+    its length.  Every prefix of a valid necklace is such a prefix, so
+    nothing valid is pruned.
+    """
+    successors = [
+        [j for j, f in enumerate(vocab) if f.src == e.dst] for e in vocab
+    ]
+    leaves = [e.kind != "po" for e in vocab]
+    a = [0] * length
+
+    def extend(t: int, p: int, leaving: bool) -> Iterator[tuple[int, ...]]:
+        if t == length:
+            if (
+                length % p == 0
+                and leaving
+                and vocab[a[-1]].dst == vocab[a[0]].src
+            ):
+                yield tuple(a)
+            return
+        floor = a[t - p]
+        for j in successors[a[t - 1]]:
+            if j >= floor:
+                a[t] = j
+                yield from extend(
+                    t + 1, p if j == floor else t + 1, leaving or leaves[j]
+                )
+
+    for first in range(len(vocab)):
+        a[0] = first
+        yield from extend(1, 1, leaves[first])
 
 
 def interesting_cycles(

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -66,6 +70,30 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestStartup:
+    def test_parser_does_not_import_serve_stack(self):
+        # Every verb builds the parser; only serve/submit/jobs need the
+        # server, service and client.
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print('\\n'.join(sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        assert "repro.cli" in loaded
+        assert "repro.serve.server" not in loaded
+        assert "repro.serve.service" not in loaded
+        assert "repro.serve.client" not in loaded
 
 
 class TestNewCommands:

@@ -1,15 +1,21 @@
 """Tests for the Diy-style critical-cycle generator (paper §9 related
 work: Diy "generates litmus tests by enumerating relaxations of SC")."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.catalog import CATALOG
+from repro.conformance.generators import DIY_VOCABS
+from repro.engine.campaign import diy_suite
 from repro.models.registry import get_model
 from repro.synth.diy import (
     CLASSIC_CYCLES,
     COM_EDGES,
     Cycle,
     DEP_EDGES,
+    Edge,
     FENCE_EDGES,
     PO_EDGES,
     TXN_EDGES,
@@ -179,8 +185,30 @@ class TestDecorations:
         assert any(len(order) == 2 for order in x.co.values())
 
 
+def brute_force_cycles(vocabulary, max_length, min_length=2):
+    """The reference enumerator: filter the whole edge product, keeping
+    each valid cycle's name-canonical rotation the first time any of its
+    rotations comes up."""
+    vocab = [e if isinstance(e, Edge) else edge(e) for e in vocabulary]
+    seen = set()
+    for length in range(min_length, max_length + 1):
+        for combo in itertools.product(vocab, repeat=length):
+            cycle = Cycle(tuple(combo))
+            if not cycle.is_valid():
+                continue
+            key = tuple(e.name for e in cycle.canonical().edges)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield cycle.canonical()
+
+
+#: The campaign's default diy vocabulary.
+DEFAULT_VOCAB = ["PodWR", "PodWW", "PodRR", "PodRW", "Rfe", "Fre", "Wse"]
+
+
 class TestEnumeration:
-    VOCAB = ["PodWR", "PodWW", "PodRR", "PodRW", "Rfe", "Fre", "Wse"]
+    VOCAB = DEFAULT_VOCAB
 
     def test_all_valid_and_canonical(self):
         cycles = list(enumerate_cycles(self.VOCAB, 4))
@@ -225,3 +253,53 @@ class TestEnumeration:
 
         for cycle in enumerate_cycles(self.VOCAB + ["PosWW", "PosRR"], 3):
             assert not check_wellformed(cycle_execution(cycle)), str(cycle)
+
+
+class TestEnumerationMatchesBruteForce:
+    """The necklace search yields exactly the product-and-filter
+    sequence: same cycles, same order, same rotation of each."""
+
+    @staticmethod
+    def assert_same(vocab, max_length, min_length=2):
+        got = list(enumerate_cycles(vocab, max_length, min_length))
+        want = list(brute_force_cycles(vocab, max_length, min_length))
+        assert got == want
+        assert [c.edges for c in got] == [c.edges for c in want]
+        return got
+
+    @pytest.mark.parametrize("arch", sorted(DIY_VOCABS))
+    def test_fuzzer_vocabularies(self, arch):
+        assert self.assert_same(DIY_VOCABS[arch], 4)
+
+    def test_campaign_default_vocabulary(self):
+        assert len(self.assert_same(DEFAULT_VOCAB, 6)) == 505
+
+    def test_min_length(self):
+        cycles = self.assert_same(DEFAULT_VOCAB + ["PosWW", "PosRR"], 5, 3)
+        assert min(len(c.edges) for c in cycles) == 3
+
+    def test_single_edge_cycles(self):
+        cycles = self.assert_same(DEFAULT_VOCAB, 3, 1)
+        assert [str(c) for c in cycles if len(c.edges) == 1] == ["Wse"]
+
+    def test_duplicate_and_edge_vocabulary(self):
+        vocab = [edge("Rfe"), "PodRW", "Rfe", "PodWR", edge("PodRW"), "Fre"]
+        self.assert_same(vocab, 5)
+
+    def test_long_cycles_without_the_product(self):
+        # 22**8 sequences could never be filtered; the search reaches the
+        # first length-8 cycle of the power vocabulary at once.
+        cycle = next(enumerate_cycles(DIY_VOCABS["power"], 8, min_length=8))
+        assert len(cycle.edges) == 8
+        assert cycle.is_valid() and cycle == cycle.canonical()
+
+    def test_diy_suite_unchanged(self):
+        names = [item.name for item in diy_suite("x86", None, 6)]
+        assert names == [
+            "diy-" + "+".join(e.name for e in c.edges)
+            for c in brute_force_cycles(DEFAULT_VOCAB, 6)
+        ]
+        digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+        assert digest == (
+            "7ca53bbaa214a6d7b9f684ba2cba721006eddb20bdc8e9e8044f5b6bb5b63a1b"
+        )

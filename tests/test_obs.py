@@ -564,6 +564,18 @@ class TestCampaignCliTelemetry:
         assert "per-stage timing" in out
         assert "axioms" in out
 
+    def test_profile_reports_suite_stage(self, capsys, tmp_path,
+                                         monkeypatch):
+        # Suite generation runs under telemetry, as its own stage.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        code, out, _ = run_cli(
+            capsys, "campaign", "--suite", "diy", "--arch", "x86",
+            "--length", "2", "--models", "x86", "--profile",
+        )
+        assert code == 0
+        table = out.split("per-stage timing", 1)[1].splitlines()
+        assert any(line.split()[:1] == ["suite"] for line in table)
+
     def test_telemetry_writes_manifest(self, capsys, tmp_path,
                                        monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
